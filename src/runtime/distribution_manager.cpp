@@ -420,13 +420,14 @@ Result<std::vector<std::byte>> DistributionManager::fetch_once(SampleId sample,
   if (reply.size() < sizeof(header)) {
     return report(Status::corrupt("reply truncated"));
   }
-  // Verify in place (no allocation), then copy the slice out once.
+  // Copy the slice out once, then verify the copy: the buffer checked is
+  // the buffer delivered, so the caller need not check it again.
   const std::byte* body = reply.data() + sizeof(header);
-  const std::size_t body_size = reply.size() - sizeof(header);
-  if (!verify_sample_payload(sample, body, body_size)) {
+  std::vector<std::byte> payload(body, reply.data() + reply.size());
+  if (!verify_sample_payload(sample, payload)) {
     return report(Status::corrupt("payload failed verification"));
   }
-  return std::vector<std::byte>(body, body + body_size);
+  return payload;
 }
 
 Result<std::vector<std::byte>> DistributionManager::fetch_remote(SampleId sample,
@@ -581,18 +582,19 @@ std::vector<Result<comm::PayloadPtr>> DistributionManager::fetch_remote_many(
           } else if (found_size == 0) {
             results.emplace_back(Status::not_found("peer no longer holds sample"));
             continue;
-          } else if (verify_sample_payload(samples[i], reply.data() + off,
-                                           static_cast<std::size_t>(found_size))) {
+          } else {
+            // Copy first, then verify the copy: the delivered buffer is the
+            // one checked, exactly once.
             auto buffer = PayloadArena::acquire(static_cast<std::size_t>(found_size));
             std::memcpy(buffer->data(), reply.data() + off,
                         static_cast<std::size_t>(found_size));
             off += static_cast<std::size_t>(found_size);
-            results.emplace_back(comm::PayloadPtr(std::move(buffer)));
-            continue;
-          } else {
-            off += static_cast<std::size_t>(found_size);
-            results.emplace_back(Status::corrupt("payload failed verification"));
-            any_corrupt = true;
+            if (verify_sample_payload(samples[i], *buffer)) {
+              results.emplace_back(comm::PayloadPtr(std::move(buffer)));
+            } else {
+              results.emplace_back(Status::corrupt("payload failed verification"));
+              any_corrupt = true;
+            }
             continue;
           }
         } else {

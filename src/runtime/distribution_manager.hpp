@@ -130,7 +130,8 @@ class DistributionManager {
   void stop();
 
   /// Fetch of `sample` from `holder`'s cache with timeout/retry per the
-  /// policy. Failure causes:
+  /// policy. The returned payload has been verified (the copy itself, not
+  /// the reply it came from). Failure causes:
   ///   kNotFound  — the peer answered: it no longer holds the sample
   ///                (raced with an eviction); authoritative, do not retry;
   ///   kTimeout   — no reply within the retry budget (peer slow or dead);
@@ -152,10 +153,11 @@ class DistributionManager {
   ///   kTimeout / kPeerDown / kShutdown — whole-envelope failures, applied
   ///               to every sample in the batch.
   /// Results align index-for-index with `samples`. Successful payloads are
-  /// arena-backed and shared zero-copy into KvStore / the bus. The batch
-  /// round is traced as its own kMultiGet root span (arg = holder,
-  /// arg2 = iter), closed before this returns — per-sample fallback fetches
-  /// a caller issues afterwards root their own kFetch trees as usual.
+  /// arena-backed, verified after the copy out of the reply, and shared
+  /// zero-copy into KvStore / the bus. The batch round is traced as its own
+  /// kMultiGet root span (arg = holder, arg2 = iter), closed before this
+  /// returns — per-sample fallback fetches a caller issues afterwards root
+  /// their own kFetch trees as usual.
   std::vector<Result<comm::PayloadPtr>> fetch_remote_many(
       comm::Rank holder, const std::vector<SampleId>& samples, IterId iter);
 

@@ -74,6 +74,8 @@ void PlanExecutor::execute_request(const LoadRequest& request, GpuAccounting& ac
   if (request.tier == FetchTier::kRemote && kv_store_ != nullptr) {
     auto kv = kv_store_->get(key);  // zero-copy: shared reference
     if (kv.ok()) {
+      // The shared entry is the buffer delivered, so it is verified here
+      // once; the manager verifies what it returns the same way.
       payload = kv.take();
       if (config_.verify_payloads && !verify_sample_payload(request.sample, *payload)) {
         // Corruption quarantine (DESIGN.md §9): evict the bad entry so no
@@ -108,6 +110,7 @@ void PlanExecutor::execute_request(const LoadRequest& request, GpuAccounting& ac
     while (holder != cache::CacheDirectory::kInvalidNode) {
       auto fetched = manager_->fetch_remote(request.sample, holder);
       if (fetched.ok()) {
+        // Already verified by the manager, on this very buffer.
         payload = std::make_shared<const std::vector<std::byte>>(fetched.take());
         remote_served = true;
         break;
@@ -141,17 +144,6 @@ void PlanExecutor::execute_request(const LoadRequest& request, GpuAccounting& ac
       break;  // authoritative miss / shutdown: PFS fallback
     }
   }
-  // Last-line verification: every remote tier above already verified, so a
-  // failure here means a bad payload slipped past tier-level quarantine.
-  // Never deliver, insert, or publish it — drop it and re-materialize from
-  // the PFS below.
-  if (remote_served && config_.verify_payloads &&
-      !verify_sample_payload(request.sample, *payload)) {
-    payload.reset();
-    remote_served = false;
-    quarantined_.fetch_add(1, std::memory_order_relaxed);
-    LOBSTER_METRIC_COUNT("executor.quarantined_payloads", 1);
-  }
   if (failure_detour) {
     ++accounting.degraded_fetches;
     LOBSTER_METRIC_COUNT("executor.degraded_fetches", 1);
@@ -184,7 +176,7 @@ void PlanExecutor::execute_request(const LoadRequest& request, GpuAccounting& ac
   }
 }
 
-void PlanExecutor::execute_batch(const std::vector<LoadRequest>& requests,
+void PlanExecutor::execute_batch(std::span<const LoadRequest> requests,
                                  GpuAccounting& accounting) {
   // Partition the drained batch: KV hits are served inline; remote misses
   // group per directory-recorded holder for ONE multi-get envelope each;
@@ -262,16 +254,7 @@ void PlanExecutor::execute_batch(const std::vector<LoadRequest>& requests,
       const LoadRequest& request = *group[i];
       const auto& result = results[i];
       if (result.ok()) {
-        // fetch_remote_many verified every payload in place; last-line
-        // verify again only under the belt-and-braces flag, mirroring
-        // execute_request.
-        if (config_.verify_payloads &&
-            !verify_sample_payload(request.sample, **result)) {
-          quarantined_.fetch_add(1, std::memory_order_relaxed);
-          LOBSTER_METRIC_COUNT("executor.quarantined_payloads", 1);
-          fallback.push_back(&request);
-          continue;
-        }
+        // fetch_remote_many verified the buffer it returns.
         accounting.remote_bytes += request.bytes;
         ++accounting.remote_fetches;
         LOBSTER_TRACE_INSTANT(kExecutor, "fetch_remote", request.bytes);
@@ -333,6 +316,10 @@ ExecutionReport PlanExecutor::run() {
       config_.balance.max_pool_threads > 0
           ? config_.balance.max_pool_threads
           : std::max(1U, std::thread::hardware_concurrency());
+  // One iteration's plan prefetches, read by the loading pool until the next
+  // iteration joins them; declared before the pool so it outlives the
+  // pool's workers.
+  std::vector<LoadRequest> prefetch_batch;
   ThreadPool loading_pool(1);
   ThreadPool preproc_pool(1);
   const std::uint32_t world =
@@ -340,6 +327,14 @@ ExecutionReport PlanExecutor::run() {
   const std::uint32_t flat_base = static_cast<std::uint32_t>(config_.node) * gpus;
   throughput_.assign(gpus, metrics::ThroughputWindow());
   feedback_ = core::IterationFeedback{};
+  // Per-GPU throughput gauges, interned once rather than looked up by name
+  // every iteration.
+  auto& registry = telemetry::MetricRegistry::instance();
+  std::vector<telemetry::Gauge*> throughput_gauges(gpus);
+  for (GpuId g = 0; g < gpus; ++g) {
+    throughput_gauges[g] =
+        &registry.gauge("executor.gpu/" + std::to_string(flat_base + g) + "/throughput");
+  }
 
   // Hoisted across iterations: the queues are fully drained every iteration,
   // so one construction serves the whole run; vectors below are reused to
@@ -434,6 +429,17 @@ ExecutionReport PlanExecutor::run() {
     }
     stats.load_pool_size = load_threads_total;
     stats.preproc_pool_size = preproc_threads;
+    const std::uint32_t pool_threads = std::min(load_threads_total, hw_threads);
+
+    // ---- land the previous iteration's plan prefetches before any demand
+    // is classified, keeping plan order (evictions of i, prefetches of i,
+    // then demand of i+1): the enqueue below then sees the planned residency
+    // and its tier counts do not depend on thread timing.
+    {
+      LOBSTER_TRACE_SPAN(kExecutor, "prefetch_join");
+      for (auto& f : prefetch_futures) f.get();
+      prefetch_futures.clear();
+    }
 
     // ---- enqueue demand requests per GPU queue (bulk push; overflow spills
     // loudly instead of blocking or dropping)
@@ -485,12 +491,6 @@ ExecutionReport PlanExecutor::run() {
     }
 #endif
 
-    // The previous iteration's prefetches ran on the loading pool overlapped
-    // with the enqueue above; join them before draining so plan residency
-    // ordering (prefetches land before the next eviction sweep) holds.
-    for (auto& f : prefetch_futures) f.get();
-    prefetch_futures.clear();
-
     // ---- drain queues with the planned per-queue thread counts. Workers
     // pop in batches, accumulate accounting and delivery logs privately,
     // and merge once per task — no shared state is touched per request.
@@ -501,7 +501,6 @@ ExecutionReport PlanExecutor::run() {
       // concurrently — they'd only wake a worker to find the queue already
       // empty — so cap the per-queue task count at the real pool size. The
       // planned share still drives the virtual-time model and stats.
-      const std::uint32_t pool_threads = std::min(load_threads_total, hw_threads);
       for (GpuId g = 0; g < gpus; ++g) {
         const std::uint32_t per_queue = std::min(pool_threads, queue_threads[g]);
         for (std::uint32_t t = 0; t < per_queue; ++t) {
@@ -602,7 +601,6 @@ ExecutionReport PlanExecutor::run() {
     Bytes node_bytes = 0;
     feedback_.iter = iteration.iter;
     feedback_.devices.clear();
-    auto& registry = telemetry::MetricRegistry::instance();
     for (GpuId g = 0; g < gpus; ++g) {
       const auto& acct = accounting[g];
       const double threads = queue_threads[g];
@@ -630,8 +628,7 @@ ExecutionReport PlanExecutor::run() {
       const std::uint32_t flat = flat_base + g;
       feedback_.devices.push_back(core::DeviceFeedback{flat, delivered_count[g], busy});
       throughput_[g].record(delivered_count[g], busy);
-      registry.gauge("executor.gpu/" + std::to_string(flat) + "/throughput")
-          .set(throughput_[g].windowed_rate());
+      throughput_gauges[g]->set(throughput_[g].windowed_rate());
       delivered_count[g] = 0;
     }
     stats.virtual_load = load_max;
@@ -648,21 +645,31 @@ ExecutionReport PlanExecutor::run() {
     for (const SampleId s : node_plan.evictions) store_.erase(s);
     LOBSTER_METRIC_COUNT("executor.plan_evictions", node_plan.evictions.size());
 
-    // Prefetches go to the loading pool and overlap the next iteration's
-    // enqueue (joined there); their tier accounting is background work and
-    // deliberately not part of the demand-path virtual time.
+    // Prefetches run on the loading pool until the next iteration joins them
+    // ahead of its enqueue. Each of at most pool_threads contiguous chunks
+    // goes through execute_batch: one multi-get envelope per holder and one
+    // batched PFS materialize, instead of a task and a round-trip per
+    // sample. Their tier accounting is background work and deliberately not
+    // part of the demand-path virtual time.
+    prefetch_batch.clear();
     for (const SampleId s : node_plan.prefetches) {
       LoadRequest request;
       request.sample = s;
       request.bytes = catalog_.sample_bytes(s);
       request.iter = iteration.iter;
-      request.prefetch = true;
       request.tier = manager_ != nullptr || kv_store_ != nullptr ? FetchTier::kRemote
                                                                  : FetchTier::kPfs;
-      ++stats.prefetch_requests;
-      prefetch_futures.push_back(loading_pool.submit([this, request] {
-        GpuAccounting prefetch_acct;
-        execute_request(request, prefetch_acct);
+      prefetch_batch.push_back(request);
+    }
+    stats.prefetch_requests = static_cast<std::uint32_t>(prefetch_batch.size());
+    const std::size_t chunks = std::min<std::size_t>(pool_threads, prefetch_batch.size());
+    for (std::size_t c = 0; c < chunks; ++c) {
+      const std::size_t begin = prefetch_batch.size() * c / chunks;
+      const std::size_t end = prefetch_batch.size() * (c + 1) / chunks;
+      const std::span<const LoadRequest> chunk(prefetch_batch.data() + begin, end - begin);
+      prefetch_futures.push_back(loading_pool.submit([this, chunk] {
+        GpuAccounting background;
+        execute_batch(chunk, background);
       }));
     }
 
@@ -680,7 +687,6 @@ ExecutionReport PlanExecutor::run() {
   if (!job_.metric_prefix.empty()) {
     // Per-tenant slice of the same aggregates (dynamic names can't use the
     // per-literal metric macros).
-    auto& registry = telemetry::MetricRegistry::instance();
     registry.counter(job_.metric_prefix + "samples_delivered").add(report.samples_delivered);
     registry.counter(job_.metric_prefix + "degraded_fetches").add(report.degraded_fetches);
     registry.counter(job_.metric_prefix + "quarantined_payloads")

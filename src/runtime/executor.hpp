@@ -13,8 +13,8 @@
 // (no global store mutex), delivery dedup is worker-local and merged once
 // per drain (no per-request lock), queue operations are batched, remote
 // misses are routed to the directory-recorded holder in O(1), and plan
-// prefetches run on the loading pool overlapped with the next iteration's
-// enqueue.
+// prefetches run batched on the loading pool through the iteration
+// boundary, joined before the next iteration classifies its demand.
 //
 // Stage timings are *accounted* in virtual time (bytes / tier rate) rather
 // than slept, so executor tests run in milliseconds; the performance story
@@ -24,6 +24,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -118,9 +119,10 @@ struct IterationExecution {
   Seconds virtual_duration = 0.0; ///< max(t_train, load + preproc)
   double capacity_scale = 1.0;    ///< config.capacity scale in force this iteration
   bool rebalanced = false;        ///< an active RebalancePlan drove this iteration
-  /// Measured wall-clock duration of the iteration body (enqueue through
-  /// preproc join). Real elapsed time — the denominator the causal span
-  /// analysis compares its degraded-fetch overhead attribution against.
+  /// Measured wall-clock duration of the iteration body (iteration hook
+  /// through cache maintenance, prefetch join included). Real elapsed time —
+  /// the denominator the causal span analysis compares its degraded-fetch
+  /// overhead attribution against.
   Seconds wall_s = 0.0;
 };
 
@@ -226,14 +228,14 @@ class PlanExecutor {
 
   void execute_request(const LoadRequest& request, GpuAccounting& accounting);
 
-  /// Batched miss handling for one drained batch (DESIGN.md §8): probes the
-  /// KV tier per sample, then coalesces remote misses into ONE multi-get
-  /// envelope per holder (DistributionManager::fetch_remote_many) and
-  /// batch-materializes cold misses from the PFS into arena-backed buffers.
-  /// Per-sample failures fall back to execute_request, so retry / detour /
-  /// quarantine routing and kFetch span trees are unchanged for every
-  /// degraded sample.
-  void execute_batch(const std::vector<LoadRequest>& requests, GpuAccounting& accounting);
+  /// Batched miss handling for one drained batch or one chunk of plan
+  /// prefetches (DESIGN.md §8): probes the KV tier per sample, then
+  /// coalesces remote misses into ONE multi-get envelope per holder
+  /// (DistributionManager::fetch_remote_many) and batch-materializes cold
+  /// misses from the PFS into arena-backed buffers. Per-sample failures fall
+  /// back to execute_request, so retry / detour / quarantine routing and
+  /// kFetch span trees are unchanged for every degraded sample.
+  void execute_batch(std::span<const LoadRequest> requests, GpuAccounting& accounting);
 
   ExecutorConfig config_;
   const data::SampleCatalog& catalog_;

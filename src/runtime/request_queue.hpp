@@ -24,9 +24,6 @@ struct LoadRequest {
   FetchTier tier = FetchTier::kLocal;
   IterId iter = 0;
   GpuId gpu = 0;
-  /// Prefetch requests are background work; demand requests gate the
-  /// iteration barrier.
-  bool prefetch = false;
 };
 
 class GpuRequestQueues {

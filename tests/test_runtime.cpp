@@ -2,13 +2,18 @@
 // bus, plan execution end-to-end (planner -> executor).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
+#include <unordered_set>
 
 #include "baselines/strategies.hpp"
+#include "cache/directory.hpp"
 #include "core/planner.hpp"
+#include "data/dataset.hpp"
 #include "runtime/distribution_manager.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/request_queue.hpp"
+#include "telemetry/trace_context.hpp"
 
 namespace lobster::runtime {
 namespace {
@@ -180,6 +185,159 @@ TEST_F(ExecutorFixture, ExecutorValidatesArguments) {
   const Plan empty;
   ExecutorConfig config;
   EXPECT_THROW(PlanExecutor(config, catalog, sampler, empty), std::invalid_argument);
+}
+
+// ---- plan prefetches land before the next iteration classifies its demand.
+
+struct PlannedRun {
+  core::PlannerResult planned;
+  data::SampleCatalog catalog;
+  data::EpochSampler sampler;
+
+  static data::SamplerConfig sampler_config(const pipeline::ExperimentPreset& preset,
+                                            std::uint32_t samples) {
+    data::SamplerConfig config;
+    config.num_samples = samples;
+    config.nodes = preset.cluster.nodes;
+    config.gpus_per_node = preset.cluster.gpus_per_node;
+    config.batch_size = preset.batch_size;
+    config.seed = preset.seed;
+    return config;
+  }
+
+  explicit PlannedRun(const pipeline::ExperimentPreset& preset)
+      : planned(core::plan_training(preset, baselines::LoaderStrategy::pytorch())),
+        catalog(preset.dataset, preset.seed),
+        sampler(sampler_config(preset, catalog.size())) {}
+
+  ExecutionReport run() const {
+    ExecutorConfig config;
+    config.node = 0;
+    PlanExecutor executor(config, catalog, sampler, planned.plan);
+    return executor.run();
+  }
+};
+
+TEST_F(ExecutorFixture, PrefetchedSamplesAreLocalHitsNextIteration) {
+  const PlannedRun setup(small_preset());
+  const Plan& plan = setup.planned.plan;
+  const auto report = setup.run();
+  ASSERT_TRUE(report.clean());
+  ASSERT_EQ(report.iterations.size(), plan.total_iterations());
+
+  std::uint64_t prefetched_demand_total = 0;
+  for (std::size_t i = 0; i + 1 < plan.iterations.size(); ++i) {
+    const auto& prefetches = plan.iterations[i].nodes[0].prefetches;
+    const std::unordered_set<SampleId> staged(prefetches.begin(), prefetches.end());
+    const IterId next = plan.iterations[i + 1].iter;
+    const auto epoch = static_cast<std::uint32_t>(next / plan.iterations_per_epoch);
+    const auto h = static_cast<std::uint32_t>(next % plan.iterations_per_epoch);
+    std::uint32_t prefetched_demand = 0;
+    for (GpuId g = 0; g < plan.gpus_per_node; ++g) {
+      for (const SampleId s : setup.sampler.minibatch(epoch, h, 0, g)) {
+        prefetched_demand += staged.count(s) > 0 ? 1U : 0U;
+      }
+    }
+    EXPECT_GE(report.iterations[i + 1].local_hits, prefetched_demand) << "iteration " << next;
+    prefetched_demand_total += prefetched_demand;
+  }
+  // The PyTorch plan stages the next minibatch, so the bound is not vacuous.
+  EXPECT_GT(prefetched_demand_total, 0U);
+}
+
+TEST_F(ExecutorFixture, TierCountsAreDeterministicAcrossRuns) {
+  const PlannedRun setup(small_preset());
+  const auto first = setup.run();
+  const auto second = setup.run();
+  ASSERT_EQ(first.iterations.size(), second.iterations.size());
+  for (std::size_t i = 0; i < first.iterations.size(); ++i) {
+    const auto& a = first.iterations[i];
+    const auto& b = second.iterations[i];
+    EXPECT_EQ(a.local_hits, b.local_hits) << "iteration " << a.iter;
+    EXPECT_EQ(a.remote_fetches, b.remote_fetches) << "iteration " << a.iter;
+    EXPECT_EQ(a.pfs_fetches, b.pfs_fetches) << "iteration " << a.iter;
+  }
+}
+
+TEST(PlanExecutor, RemotePrefetchesForOneHolderRideOneMultiGetEnvelope) {
+  // Node 0's plan stages 10 samples the directory places on node 1; its
+  // demand samples are not in the directory, so they go to the PFS.
+  constexpr Bytes kSampleBytes = 4096;
+  constexpr std::size_t kPrefetches = 10;
+
+  const data::SampleCatalog catalog(data::DatasetSpec::uniform(64, kSampleBytes), 7);
+  data::SamplerConfig sampler_config;
+  sampler_config.num_samples = 64;
+  sampler_config.nodes = 2;
+  sampler_config.gpus_per_node = 1;
+  sampler_config.batch_size = 2;
+  sampler_config.seed = 7;
+  const data::EpochSampler sampler(sampler_config);
+
+  Plan plan;
+  plan.cluster_nodes = 2;
+  plan.gpus_per_node = 1;
+  plan.epochs = 1;
+  plan.iterations_per_epoch = sampler.iterations_per_epoch();
+  plan.batch_size = 2;
+  plan.seed = 7;
+  IterationPlan iteration;
+  iteration.iter = 0;
+  iteration.nodes.resize(2);
+  iteration.nodes[0].load_threads = {1};
+  const auto demand = sampler.minibatch(0, 0, 0, 0);
+  cache::CacheDirectory directory(2);
+  for (SampleId s = 0; iteration.nodes[0].prefetches.size() < kPrefetches; ++s) {
+    if (std::find(demand.begin(), demand.end(), s) != demand.end()) continue;
+    iteration.nodes[0].prefetches.push_back(s);
+    directory.add(s, 1);
+  }
+  plan.iterations.push_back(iteration);
+  const std::vector<SampleId> prefetched = iteration.nodes[0].prefetches;
+
+  comm::MessageBus bus(2);
+  DistributionManager holder(bus.endpoint(1), [](SampleId) { return true; },
+                             [&catalog](SampleId s) { return catalog.sample_bytes(s); });
+  holder.start();
+  DistributionManager client(bus.endpoint(0), nullptr, nullptr);
+  ExecutorConfig config;
+  config.node = 0;
+  PlanExecutor executor(config, catalog, sampler, plan, &client);
+  executor.set_directory(&directory);
+
+  auto& spans = telemetry::SpanLog::instance();
+  spans.clear();
+  spans.set_enabled(true);
+  const auto report = executor.run();
+  spans.set_enabled(false);
+  const auto records = spans.snapshot();
+  spans.clear();
+  holder.stop();
+
+  ASSERT_TRUE(report.clean());
+  ASSERT_EQ(report.iterations.size(), 1U);
+  EXPECT_EQ(report.iterations[0].prefetch_requests, kPrefetches);
+  std::unordered_set<std::uint64_t> envelopes;
+  for (const auto& span : records) {
+    if (span.rank != 0 || span.kind != telemetry::SpanKind::kMultiGet) continue;
+    EXPECT_EQ(span.parent_span_id, 0U);  // a root of its own
+    EXPECT_EQ(span.arg, 1U);             // the holder
+    envelopes.insert(span.span_id);
+  }
+  std::size_t batched = 0;
+  for (const auto& span : records) {
+    if (span.kind == telemetry::SpanKind::kAttempt && envelopes.count(span.parent_span_id) > 0) {
+      batched += span.arg;  // samples in the envelope
+    }
+    if (span.rank == 0 && span.kind == telemetry::SpanKind::kFetch) {
+      EXPECT_EQ(std::find(prefetched.begin(), prefetched.end(), span.arg), prefetched.end())
+          << "prefetch of sample " << span.arg << " took a per-sample fetch";
+    }
+  }
+  EXPECT_EQ(envelopes.size(), 1U);
+  EXPECT_EQ(batched, kPrefetches);
+  const auto resident = executor.resident_samples();
+  for (const SampleId s : prefetched) EXPECT_TRUE(resident.count(s) > 0) << s;
 }
 
 }  // namespace
