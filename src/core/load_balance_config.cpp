@@ -15,16 +15,9 @@ Status LoadBalanceConfig::validate() const {
   if (!(tau > 0.0)) {
     return Status::invalid("tau must be positive");
   }
-  if (queue_capacity == 0) {
-    return Status::invalid("queue_capacity must be >= 1");
-  }
   if (world_size > 0) {
     if (max_pool_threads != 0 && max_pool_threads < world_size) {
       return Status::invalid("max_pool_threads cap (" + std::to_string(max_pool_threads) +
-                             ") below world size " + std::to_string(world_size));
-    }
-    if (queue_capacity < world_size) {
-      return Status::invalid("queue_capacity (" + std::to_string(queue_capacity) +
                              ") below world size " + std::to_string(world_size));
     }
     if (!batch_quotas.empty() && batch_quotas.size() != world_size) {

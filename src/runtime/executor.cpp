@@ -23,8 +23,9 @@
 namespace lobster::runtime {
 
 namespace {
-/// Requests popped per queue-lock acquisition in the drain loop. Amortizes
-/// the queue mutex without starving sibling workers of the same queue.
+/// Requests a drain worker claims per cursor bump. Amortizes the atomic
+/// and the per-chunk telemetry without starving sibling workers of the same
+/// GPU.
 constexpr std::size_t kDrainBatch = 32;
 }  // namespace
 
@@ -327,29 +328,31 @@ ExecutionReport PlanExecutor::run() {
   const std::uint32_t flat_base = static_cast<std::uint32_t>(config_.node) * gpus;
   throughput_.assign(gpus, metrics::ThroughputWindow());
   feedback_ = core::IterationFeedback{};
-  // Per-GPU throughput gauges, interned once rather than looked up by name
-  // every iteration.
+  // Per-GPU throughput gauges and queue-depth counter names, interned once
+  // rather than looked up by name every iteration.
   auto& registry = telemetry::MetricRegistry::instance();
+  auto& tracer = telemetry::Tracer::instance();
   std::vector<telemetry::Gauge*> throughput_gauges(gpus);
+  std::vector<std::uint32_t> depth_names(gpus);
   for (GpuId g = 0; g < gpus; ++g) {
     throughput_gauges[g] =
         &registry.gauge("executor.gpu/" + std::to_string(flat_base + g) + "/throughput");
+    depth_names[g] = tracer.intern(strf("queue_depth/gpu%u", g));
   }
 
-  // Hoisted across iterations: the queues are fully drained every iteration,
-  // so one construction serves the whole run; vectors below are reused to
-  // avoid per-iteration allocation churn.
-  GpuRequestQueues queues(gpus, config_.balance.queue_capacity);
+  // Per-GPU demand arrays (the §4.2 request queues): the whole iteration's
+  // demand is known before any worker starts, so each GPU's array is filled
+  // single-threaded at enqueue and drained through its own atomic claim
+  // cursor. Nothing is produced during the drain, so nothing blocks and no
+  // bound is needed. Vectors below are reused across iterations to avoid
+  // allocation churn.
+  std::vector<std::vector<LoadRequest>> demand(gpus);
+  const std::unique_ptr<std::atomic<std::size_t>[]> claim_next(
+      new std::atomic<std::size_t>[gpus]);
   std::vector<GpuAccounting> accounting(gpus);
   std::vector<std::future<void>> futures;
   std::vector<std::future<void>> preproc_futures;
   std::vector<std::future<void>> prefetch_futures;
-  std::vector<LoadRequest> enqueue_buffer;
-  // Queue-overflow spill: filled single-threaded at enqueue, claimed by the
-  // drain workers via a per-GPU atomic cursor (contention-free when empty).
-  std::vector<std::vector<LoadRequest>> spill(gpus);
-  const std::unique_ptr<std::atomic<std::size_t>[]> spill_next(
-      new std::atomic<std::size_t>[gpus]);
   // Worker-local delivery logs, merged per GPU and dedup-checked once per
   // drain (the old global delivered-set mutex was taken per request).
   std::mutex merge_mutex;
@@ -441,12 +444,12 @@ ExecutionReport PlanExecutor::run() {
       prefetch_futures.clear();
     }
 
-    // ---- enqueue demand requests per GPU queue (bulk push; overflow spills
-    // loudly instead of blocking or dropping)
+    // ---- fill each GPU's demand array and rewind its claim cursor
     {
       LOBSTER_TRACE_SPAN(kExecutor, "enqueue");
       for (GpuId g = 0; g < gpus; ++g) {
-        enqueue_buffer.clear();
+        auto& requests = demand[g];
+        requests.clear();
         std::vector<SampleId> batch_samples;
         if (quota_mode) {
           const std::uint32_t quota = rebalance.batch_quotas[flat_base + g];
@@ -460,61 +463,56 @@ ExecutionReport PlanExecutor::run() {
           request.sample = s;
           request.bytes = catalog_.sample_bytes(s);
           request.iter = iteration.iter;
-          request.gpu = g;
           request.tier = store_.contains(s) ? FetchTier::kLocal
                          : (manager_ != nullptr || kv_store_ != nullptr ? FetchTier::kRemote
                                                                         : FetchTier::kPfs);
-          enqueue_buffer.push_back(request);
+          requests.push_back(request);
         }
-        stats.demand_requests += static_cast<std::uint32_t>(enqueue_buffer.size());
-        const std::size_t accepted = queues.try_push_batch(g, enqueue_buffer);
-        if (accepted < enqueue_buffer.size()) {
-          spill[g].assign(enqueue_buffer.begin() + static_cast<std::ptrdiff_t>(accepted),
-                          enqueue_buffer.end());
-          stats.spilled_requests +=
-              static_cast<std::uint32_t>(enqueue_buffer.size() - accepted);
-          LOBSTER_METRIC_COUNT("executor.spilled_requests", enqueue_buffer.size() - accepted);
-        }
-        spill_next[g].store(0, std::memory_order_relaxed);
+        stats.demand_requests += static_cast<std::uint32_t>(requests.size());
+        claim_next[g].store(0, std::memory_order_relaxed);
+        LOBSTER_METRIC_COUNT("queue.pushes", requests.size());
       }
     }
 #if !defined(LOBSTER_TELEMETRY_DISABLED)
     // Sample the per-GPU queue depths at their peak (the §4.2 load signal).
     if (telemetry::active()) {
-      auto& tracer = telemetry::Tracer::instance();
-      const auto depths = queues.depths();
       for (GpuId g = 0; g < gpus; ++g) {
-        tracer.counter_wall(telemetry::Category::kQueue,
-                            tracer.intern(strf("queue_depth/gpu%u", g)),
-                            static_cast<double>(depths[g]));
+        tracer.counter_wall(telemetry::Category::kQueue, depth_names[g],
+                            static_cast<double>(demand[g].size()));
       }
     }
 #endif
 
-    // ---- drain queues with the planned per-queue thread counts. Workers
-    // pop in batches, accumulate accounting and delivery logs privately,
-    // and merge once per task — no shared state is touched per request.
+    // ---- drain each GPU's array with its planned thread share. Workers
+    // claim kDrainBatch contiguous requests per cursor bump, accumulate
+    // accounting and delivery logs privately, and merge once per task — no
+    // shared state is touched per request.
     {
       LOBSTER_TRACE_SPAN_ARG(kExecutor, "drain", stats.demand_requests);
       futures.clear();
       // Surplus drain tasks beyond the pool's OS threads never run
-      // concurrently — they'd only wake a worker to find the queue already
-      // empty — so cap the per-queue task count at the real pool size. The
+      // concurrently — they'd only wake a worker to find the array already
+      // claimed — so cap the per-queue task count at the real pool size. The
       // planned share still drives the virtual-time model and stats.
       for (GpuId g = 0; g < gpus; ++g) {
         const std::uint32_t per_queue = std::min(pool_threads, queue_threads[g]);
         for (std::uint32_t t = 0; t < per_queue; ++t) {
           futures.push_back(loading_pool.submit(
-              [this, g, &queues, &spill, &spill_next, &accounting, &merge_mutex, &delivered] {
+              [this, g, &demand, &claim_next, &accounting, &merge_mutex, &delivered] {
                 GpuAccounting local;
                 std::vector<SampleId> my_delivered;
-                std::vector<LoadRequest> batch;
                 std::vector<LoadRequest> slow;
-                batch.reserve(kDrainBatch);
-                while (queues.try_pop_batch(g, batch, kDrainBatch) > 0) {
+                const std::vector<LoadRequest>& requests = demand[g];
+                while (true) {
+                  const std::size_t begin =
+                      claim_next[g].fetch_add(kDrainBatch, std::memory_order_relaxed);
+                  if (begin >= requests.size()) break;
+                  const std::span<const LoadRequest> chunk(
+                      requests.data() + begin, std::min(kDrainBatch, requests.size() - begin));
+                  LOBSTER_METRIC_COUNT("queue.pops", chunk.size());
                   Bytes batch_local_bytes = 0;
                   slow.clear();
-                  for (const auto& request : batch) {
+                  for (const auto& request : chunk) {
                     my_delivered.push_back(request.sample);
                     // Local-tier fast path inlined: pure accounting, with
                     // telemetry batched below so the warm drain pays one
@@ -535,16 +533,6 @@ ExecutionReport PlanExecutor::run() {
                   // batched PFS materialization instead of a round-trip (and
                   // a heap payload) per sample.
                   if (!slow.empty()) execute_batch(slow, local);
-                  batch.clear();
-                }
-                // Claim spilled requests (if any) via the atomic cursor.
-                const auto& overflow = spill[g];
-                while (true) {
-                  const std::size_t idx =
-                      spill_next[g].fetch_add(1, std::memory_order_relaxed);
-                  if (idx >= overflow.size()) break;
-                  my_delivered.push_back(overflow[idx].sample);
-                  execute_request(overflow[idx], local);
                 }
                 const std::scoped_lock lock(merge_mutex);
                 accounting[g].merge(local);
@@ -567,7 +555,6 @@ ExecutionReport PlanExecutor::run() {
         delivered_count[g] = log.size();
         delivered_total += log.size();
         log.clear();
-        spill[g].clear();
       }
       report.samples_delivered += delivered_total;
       if (delivered_total < stats.demand_requests) {
@@ -635,7 +622,6 @@ ExecutionReport PlanExecutor::run() {
     stats.virtual_preproc = preproc_max;
     stats.virtual_duration = std::max(config_.t_train, load_max + preproc_max);
 
-    report.spilled_requests += stats.spilled_requests;
     report.degraded_fetches += stats.degraded_fetches;
     report.virtual_total += stats.virtual_duration;
 

@@ -1,17 +1,18 @@
 // Online plan executor (§4.5).
 //
 // Interprets a runtime::Plan for one node with *real* threads: per-GPU
-// request queues, a resizable loading pool whose size follows the plan's
+// demand arrays, a resizable loading pool whose size follows the plan's
 // per-iteration thread assignment, a preprocessing pool, plan-driven cache
 // maintenance (prefetches and evictions), and an optional distribution
 // manager for remote fetches. Payloads are materialized and verified
-// end-to-end, so the executor proves the enforcement machinery — queues,
-// pool resizing, distributed fetches, plan bookkeeping — delivers every
-// sample exactly once and in time.
+// end-to-end, so the executor proves the enforcement machinery — per-GPU
+// thread shares, pool resizing, distributed fetches, plan bookkeeping —
+// delivers every sample exactly once and in time.
 //
 // Hot-path concurrency (DESIGN.md §8): the resident-sample set is striped
 // (no global store mutex), delivery dedup is worker-local and merged once
-// per drain (no per-request lock), queue operations are batched, remote
+// per drain (no per-request lock), drain workers claim contiguous chunks of
+// each GPU's pre-filled demand array through an atomic cursor, remote
 // misses are routed to the directory-recorded holder in O(1), and plan
 // prefetches run batched on the loading pool through the iteration
 // boundary, joined before the next iteration classifies its demand.
@@ -42,12 +43,24 @@
 #include "metrics/throughput_window.hpp"
 #include "runtime/distribution_manager.hpp"
 #include "runtime/plan.hpp"
-#include "runtime/request_queue.hpp"
 #include "sim/capacity_profile.hpp"
 
 namespace lobster::runtime {
 
 class IterationWatchdog;
+
+/// Tier a request is served from, classified at enqueue against the
+/// resident set (§4.2: local cache, remote peer/KV tier, or the PFS).
+enum class FetchTier : std::uint8_t { kLocal, kRemote, kPfs };
+
+/// One sample to load: a demand request of one GPU's minibatch or a plan
+/// prefetch.
+struct LoadRequest {
+  SampleId sample = kInvalidSample;
+  Bytes bytes = 0;
+  FetchTier tier = FetchTier::kLocal;
+  IterId iter = 0;
+};
 
 /// Called at the top of every iteration (before enqueue) with the global
 /// iteration id, the previous iteration's per-GPU measurements (empty on the
@@ -62,8 +75,8 @@ using IterationHook =
 
 struct ExecutorConfig {
   NodeId node = 0;
-  /// Shared load-balance knob block (queue bound, pool cap, thread budget —
-  /// the same fields Algorithm 1 and the feedback balancer read). The pool
+  /// Shared load-balance knob block (pool cap, thread budget — the same
+  /// fields Algorithm 1 and the feedback balancer read). The pool
   /// cap stops oversubscribing physical cores; tests pin it explicitly to
   /// force real multi-threaded drains regardless of the host.
   core::LoadBalanceConfig balance;
@@ -107,7 +120,9 @@ struct IterationExecution {
   std::uint32_t preproc_pool_size = 0;  ///< enforced preprocessing threads
   std::uint32_t demand_requests = 0;
   std::uint32_t prefetch_requests = 0;
-  std::uint32_t spilled_requests = 0;   ///< demand requests that overflowed a queue
+  /// Always 0: per-GPU demand arrays have no bound to overflow. Kept only
+  /// because the perfbench executor workloads read it.
+  std::uint32_t spilled_requests = 0;
   std::uint32_t local_hits = 0;
   std::uint32_t remote_fetches = 0;
   std::uint32_t pfs_fetches = 0;
@@ -134,7 +149,6 @@ struct ExecutionReport {
   std::uint64_t payload_failures = 0;
   std::uint64_t duplicate_deliveries = 0;
   std::uint64_t lost_deliveries = 0;    ///< enqueued but never drained
-  std::uint64_t spilled_requests = 0;   ///< delivered via the spill path (full queue)
   std::uint64_t degraded_fetches = 0;   ///< re-routed around a dead peer
   /// Payloads that failed verification and were intercepted (KV entry
   /// evicted / corrupt reply re-routed / re-materialized from the PFS).

@@ -1,7 +1,8 @@
 // Concurrency coverage for the executor hot path (DESIGN.md §8): striped
 // resident-set and KV-store hammers, multi-threaded drains that must deliver
-// exactly once, the queue-overflow spill path, zero-copy KV payload sharing,
-// and directory-routed remote fetches that contact only the recorded holder.
+// exactly once, claim-cursor contention on large per-GPU demand, zero-copy
+// KV payload sharing, and directory-routed remote fetches that contact only
+// the recorded holder.
 // These tests are the payload of the TSan CI job (LOBSTER_SANITIZE=thread).
 #include <gtest/gtest.h>
 
@@ -24,6 +25,8 @@
 #include "runtime/distribution_manager.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/plan.hpp"
+#include "telemetry/registry.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace lobster::runtime {
 namespace {
@@ -165,31 +168,42 @@ TEST(ExecutorConcurrency, MultiThreadedDrainDeliversExactlyOnce) {
             static_cast<std::uint64_t>(kIters) * kGpus * kBatch);
 }
 
-TEST(ExecutorConcurrency, SpilledRequestsAreStillDeliveredExactlyOnce) {
-  // Queue capacity far below the per-iteration batch: most requests take the
-  // spill path, which must count them loudly and still deliver every one.
+TEST(ExecutorConcurrency, ClaimCursorDeliversLargeDemandExactlyOnce) {
+  // Per-GPU demand of 5000 is many kDrainBatch chunks, and 4 planned threads
+  // per GPU on an 8-thread pool race on each GPU's claim cursor. Every
+  // request must be delivered once, and every one must pass through both
+  // queue counters (the heartbeat's queue_starved flag reads them).
   constexpr std::uint16_t kGpus = 2;
-  constexpr std::uint32_t kIters = 8;
-  constexpr std::uint32_t kBatch = 64;
-  const Plan plan = drain_plan(1, kGpus, kIters, kBatch, 2);
-  const data::SampleCatalog catalog(data::DatasetSpec::uniform(kIters * kGpus * kBatch, 1024),
+  constexpr std::uint32_t kIters = 2;
+  constexpr std::uint32_t kBatch = 5000;
+  const Plan plan = drain_plan(1, kGpus, kIters, kBatch, 4);
+  const data::SampleCatalog catalog(data::DatasetSpec::uniform(kIters * kGpus * kBatch, 256),
                                     plan.seed);
   const auto sampler = make_sampler(catalog.size(), 1, kGpus, kBatch);
 
   ExecutorConfig config;
   config.node = 0;
-  config.balance.queue_capacity = 16;  // < kBatch → guaranteed overflow
-  config.balance.max_pool_threads = 4;
+  config.balance.max_pool_threads = 8;
   PlanExecutor executor(config, catalog, sampler, plan);
+  auto& registry = telemetry::MetricRegistry::instance();
+  auto& tracer = telemetry::Tracer::instance();
+  [[maybe_unused]] const std::uint64_t pushes_before = registry.counter("queue.pushes").value();
+  [[maybe_unused]] const std::uint64_t pops_before = registry.counter("queue.pops").value();
+  // LOBSTER_METRIC_COUNT is a no-op unless metrics are armed.
+  tracer.set_metrics_enabled(true);
   const auto report = executor.run();
+  tracer.set_metrics_enabled(false);
 
+  const std::uint64_t demanded = static_cast<std::uint64_t>(kIters) * kGpus * kBatch;
   EXPECT_TRUE(report.clean());
-  EXPECT_GT(report.spilled_requests, 0U);
-  EXPECT_EQ(report.samples_delivered,
-            static_cast<std::uint64_t>(kIters) * kGpus * kBatch);
-  std::uint64_t spilled_per_iter = 0;
-  for (const auto& iteration : report.iterations) spilled_per_iter += iteration.spilled_requests;
-  EXPECT_EQ(spilled_per_iter, report.spilled_requests);
+  EXPECT_EQ(report.samples_delivered, demanded);
+  for (const auto& iteration : report.iterations) {
+    EXPECT_EQ(iteration.demand_requests, kGpus * kBatch);
+  }
+#if !defined(LOBSTER_TELEMETRY_DISABLED)
+  EXPECT_EQ(registry.counter("queue.pushes").value() - pushes_before, demanded);
+  EXPECT_EQ(registry.counter("queue.pops").value() - pops_before, demanded);
+#endif  // LOBSTER_TELEMETRY_DISABLED
 }
 
 TEST(ExecutorConcurrency, DirectoryRoutesRemoteFetchesToRecordedHolderOnly) {

@@ -1,4 +1,4 @@
-// Online runtime: payloads, per-GPU queues, distribution manager over the
+// Online runtime: payloads, distribution manager over the
 // bus, plan execution end-to-end (planner -> executor).
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include "data/dataset.hpp"
 #include "runtime/distribution_manager.hpp"
 #include "runtime/executor.hpp"
-#include "runtime/request_queue.hpp"
 #include "telemetry/trace_context.hpp"
 
 namespace lobster::runtime {
@@ -34,38 +33,6 @@ TEST(SamplePayload, DifferentSamplesDiffer) {
 TEST(SamplePayload, TinyPayloads) {
   EXPECT_TRUE(verify_sample_payload(9, make_sample_payload(9, 0)));
   EXPECT_TRUE(verify_sample_payload(9, make_sample_payload(9, 2)));
-}
-
-TEST(GpuRequestQueues, PerQueueIsolationAndDepths) {
-  GpuRequestQueues queues(3, 16);
-  EXPECT_EQ(queues.gpus(), 3);
-  LoadRequest request;
-  request.sample = 7;
-  queues.push(1, request);
-  queues.push(1, request);
-  queues.push(2, request);
-  EXPECT_EQ(queues.depth(0), 0U);
-  EXPECT_EQ(queues.depth(1), 2U);
-  EXPECT_EQ(queues.depth(2), 1U);
-  EXPECT_EQ(queues.depths(), (std::vector<std::size_t>{0, 2, 1}));
-  EXPECT_FALSE(queues.try_pop(0).has_value());
-  EXPECT_TRUE(queues.try_pop(1).has_value());
-}
-
-TEST(GpuRequestQueues, CloseAllUnblocks) {
-  GpuRequestQueues queues(2, 4);
-  std::thread consumer([&] {
-    EXPECT_FALSE(queues.pop(0).has_value());
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  queues.close_all();
-  consumer.join();
-}
-
-TEST(GpuRequestQueues, RangeChecks) {
-  GpuRequestQueues queues(2, 4);
-  EXPECT_THROW(queues.depth(2), std::out_of_range);
-  EXPECT_THROW(GpuRequestQueues(0, 4), std::invalid_argument);
 }
 
 TEST(DistributionManager, ServesHeldSamples) {
