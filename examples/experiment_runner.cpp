@@ -115,7 +115,10 @@ int main(int argc, char** argv) {
     std::printf("csv written to %s\n", csv_path.c_str());
   }
   if (!plan_out.empty() && !last_plan.empty()) {
-    runtime::save_plan(last_plan, plan_out);
+    if (const Status saved = runtime::save_plan(last_plan, plan_out); !saved.ok()) {
+      std::fprintf(stderr, "cannot write plan: %s\n", saved.to_string().c_str());
+      return 1;
+    }
     std::printf("decision plan for '%s' written to %s (%zu iterations, %llu prefetches)\n",
                 strategy_names.back().c_str(), plan_out.c_str(), last_plan.total_iterations(),
                 static_cast<unsigned long long>(last_plan.total_prefetches()));

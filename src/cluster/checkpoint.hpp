@@ -20,11 +20,13 @@
 // after round k's delivery fully landed, before round k+1 touches the tier —
 // so there is never a half-delivered iteration to reconcile.
 //
-// Wire format: magic + version + length-prefixed fields + CRC32 trailer,
-// written via temp-file + rename so a crash mid-save never leaves a torn
-// checkpoint where a loader could find it. deserialize() returns kCorrupt
-// on any truncation, bad magic/version, or CRC mismatch — a corrupt
-// checkpoint must never restore into a silently-wrong delivery stream.
+// Wire format: the shared sealed frame of common/wire.hpp — magic +
+// version + length-prefixed fields + CRC32 trailer — written via temp-file
+// + rename so a crash mid-save never leaves a torn checkpoint where a
+// loader could find it. deserialize() returns kCorrupt on any truncation,
+// bad magic/version, CRC mismatch, or length field its input cannot back —
+// a corrupt checkpoint must never restore into a silently-wrong delivery
+// stream.
 #pragma once
 
 #include <cstdint>
@@ -102,8 +104,5 @@ Status save_file(const JobCheckpoint& checkpoint, const std::string& path);
 /// Loads and deserializes; kNotFound when the file is missing, kCorrupt on
 /// any integrity failure.
 Result<JobCheckpoint> load_file(const std::string& path);
-
-/// CRC32 (IEEE, reflected) over a byte range — the checkpoint trailer.
-std::uint32_t crc32(std::span<const std::byte> bytes) noexcept;
 
 }  // namespace lobster::cluster

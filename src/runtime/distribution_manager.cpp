@@ -8,6 +8,7 @@
 
 #include "common/payload_arena.hpp"
 #include "common/rng.hpp"
+#include "common/wire.hpp"
 #include "telemetry/events.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/trace_context.hpp"
@@ -28,15 +29,45 @@ constexpr SampleId kInventorySample = kInvalidSample - 1;
 /// reply interleaves per-sample headers and payload bytes (DESIGN.md §8).
 constexpr SampleId kMultiGetSample = kInvalidSample - 2;
 
-struct FetchRequest {
-  std::uint64_t request_id;
-  SampleId sample;
+// Envelope heads (DESIGN.md §14). Requests open with
+// [u64 request id][u32 sample][4 zero bytes], replies with
+// [u32 sample][u8 found][3 zero bytes]. The padding is part of the layout:
+// the bus's corruption fault flips the last byte of small messages, which
+// lands on a request's padding and leaves the request intact.
+constexpr std::size_t kRequestHeadBytes = 16;
+constexpr std::size_t kReplyHeadBytes = 8;
+
+void put_request_head(wire::Writer& w, std::uint64_t request_id, SampleId sample) {
+  w.u64(request_id);
+  w.u32(sample);
+  w.zeros(4);
+}
+
+std::vector<std::byte> request_head(std::uint64_t request_id, SampleId sample) {
+  std::vector<std::byte> bytes;
+  wire::Writer w(bytes);
+  put_request_head(w, request_id, sample);
+  return bytes;
+}
+
+void put_reply_head(wire::Writer& w, SampleId sample, std::uint8_t found) {
+  w.u32(sample);
+  w.u8(found);
+  w.zeros(3);
+}
+
+struct ReplyHead {
+  SampleId sample = kInvalidSample;
+  std::uint8_t found = 0;
 };
 
-struct ResponseHeader {
-  SampleId sample;
-  std::uint8_t found;
-};
+ReplyHead read_reply_head(wire::Reader& r) {
+  ReplyHead head;
+  head.sample = r.u32();
+  head.found = r.u8();
+  r.skip(3);
+  return head;
+}
 
 std::int64_t steady_now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -182,10 +213,7 @@ void DistributionManager::stop() {
   // Poison request to our own server loop so it observes running_ == false.
   // A self-send never crosses the (possibly faulty) fabric, so this works
   // even when this node has been killed by a FaultPlan.
-  FetchRequest poison{0, kInvalidSample};
-  std::vector<std::byte> bytes(sizeof(poison));
-  std::memcpy(bytes.data(), &poison, sizeof(poison));
-  (void)endpoint_.send(endpoint_.rank(), kFetchRequestTag, std::move(bytes));
+  (void)endpoint_.send(endpoint_.rank(), kFetchRequestTag, request_head(0, kInvalidSample));
   if (server_.joinable()) server_.join();
 }
 
@@ -193,14 +221,18 @@ void DistributionManager::serve_loop() {
   while (running_.load(std::memory_order_relaxed)) {
     auto message = endpoint_.recv(kFetchRequestTag);
     if (!message.has_value()) return;  // bus shutdown
-    const auto request = comm::Endpoint::value_of<FetchRequest>(*message);
-    if (request.sample == kInvalidSample) continue;  // poison; loop re-checks running_
-    if (request.sample == kInventorySample) {
-      serve_inventory(*message, request.request_id);
+    wire::Reader in(message->bytes());
+    const std::uint64_t request_id = in.u64();
+    const SampleId sample = in.u32();
+    in.skip(4);
+    // Poison (the loop re-checks running_) or a request too short to answer.
+    if (sample == kInvalidSample || !in.ok()) continue;
+    if (sample == kInventorySample) {
+      serve_inventory(*message, request_id);
       continue;
     }
-    if (request.sample == kMultiGetSample) {
-      serve_multi_get(*message, request.request_id);
+    if (sample == kMultiGetSample) {
+      serve_multi_get(*message, request_id);
       continue;
     }
 
@@ -210,13 +242,12 @@ void DistributionManager::serve_loop() {
     // span's lifetime, stamping the serve context back onto the wire.
     telemetry::Span serve(telemetry::SpanKind::kServe, endpoint_.rank(),
                           telemetry::TraceContext{message->trace_id, message->span_id, 0},
-                          request.sample);
-    ResponseHeader header{request.sample, 0};
-    std::size_t total = sizeof(header);
+                          sample);
+    std::size_t total = kReplyHeadBytes;
     Bytes size = 0;
-    if (has_sample_ && has_sample_(request.sample)) {
-      header.found = 1;
-      size = sample_size_ ? sample_size_(request.sample) : 64;
+    const bool found = has_sample_ && has_sample_(sample);
+    if (found) {
+      size = sample_size_ ? sample_size_(sample) : 64;
       total += static_cast<std::size_t>(size);
       ++served_;
     } else {
@@ -226,13 +257,12 @@ void DistributionManager::serve_loop() {
     // One arena buffer, materialized in place, shared zero-copy onto the
     // wire — the serve path never touches the global heap.
     auto response = PayloadArena::acquire(total);
-    std::memcpy(response->data(), &header, sizeof(header));
-    if (header.found != 0) {
-      make_sample_payload_into(request.sample, size, response->data() + sizeof(header));
-    }
-    const Status sent = endpoint_.send(message->source, response_tag(request.request_id),
+    wire::Writer out(*response);
+    put_reply_head(out, sample, found ? 1 : 0);
+    if (found) make_sample_payload_into(sample, size, out.reserve(static_cast<std::size_t>(size)));
+    const Status sent = endpoint_.send(message->source, response_tag(request_id),
                                        comm::PayloadPtr(std::move(response)));
-    count_serve_send_failure(sent, message->source, request.request_id);
+    count_serve_send_failure(sent, message->source, request_id);
   }
 }
 
@@ -242,27 +272,20 @@ void DistributionManager::serve_multi_get(const comm::Message& request_message,
       telemetry::SpanKind::kServe, endpoint_.rank(),
       telemetry::TraceContext{request_message.trace_id, request_message.span_id, 0},
       kMultiGetSample);
-  const auto& bytes = request_message.bytes();
-  std::uint64_t count = 0;
-  std::size_t offset = sizeof(FetchRequest);
-  if (bytes.size() >= offset + sizeof(count)) {
-    std::memcpy(&count, bytes.data() + offset, sizeof(count));
-    offset += sizeof(count);
-  }
+  wire::Reader in(request_message.bytes());
+  in.skip(kRequestHeadBytes);
+  const std::uint64_t claimed = in.u64();
   // A truncated or garbled request yields fewer ids than claimed; serve
   // what is actually present — the requester detects the shortfall from
   // the reply framing and treats the remainder as corrupt.
-  count = std::min<std::uint64_t>(count, (bytes.size() - offset) / sizeof(SampleId));
-  std::vector<SampleId> ids(static_cast<std::size_t>(count));
-  if (count > 0) {
-    std::memcpy(ids.data(), bytes.data() + offset,
-                static_cast<std::size_t>(count) * sizeof(SampleId));
-  }
+  std::vector<SampleId> ids(static_cast<std::size_t>(
+      std::min<std::uint64_t>(claimed, in.remaining() / sizeof(SampleId))));
+  for (SampleId& id : ids) id = in.u32();
 
   // Pass 1 sizes the reply exactly; pass 2 materializes every payload
   // directly into one arena buffer (no per-sample allocation, one send).
   std::vector<Bytes> sizes(ids.size(), 0);
-  std::size_t total = sizeof(ResponseHeader) + sizeof(std::uint64_t);
+  std::size_t total = kReplyHeadBytes + sizeof(std::uint64_t);
   for (std::size_t i = 0; i < ids.size(); ++i) {
     total += sizeof(SampleId) + sizeof(std::uint64_t);
     if (has_sample_ && has_sample_(ids[i])) {
@@ -274,21 +297,14 @@ void DistributionManager::serve_multi_get(const comm::Message& request_message,
     }
   }
   auto reply = PayloadArena::acquire(total);
-  std::byte* out = reply->data();
-  const ResponseHeader header{kMultiGetSample, 1};
-  std::memcpy(out, &header, sizeof(header));
-  std::size_t off = sizeof(header);
-  std::memcpy(out + off, &count, sizeof(count));
-  off += sizeof(count);
+  wire::Writer out(*reply);
+  put_reply_head(out, kMultiGetSample, 1);
+  out.u64(ids.size());
   for (std::size_t i = 0; i < ids.size(); ++i) {
-    std::memcpy(out + off, &ids[i], sizeof(SampleId));
-    off += sizeof(SampleId);
-    const std::uint64_t found_size = sizes[i];
-    std::memcpy(out + off, &found_size, sizeof(found_size));
-    off += sizeof(found_size);
-    if (found_size > 0) {
-      make_sample_payload_into(ids[i], sizes[i], out + off);
-      off += static_cast<std::size_t>(found_size);
+    out.u32(ids[i]);
+    out.u64(sizes[i]);
+    if (sizes[i] > 0) {
+      make_sample_payload_into(ids[i], sizes[i], out.reserve(static_cast<std::size_t>(sizes[i])));
     }
   }
   const Status sent = endpoint_.send(request_message.source, response_tag(request_id),
@@ -304,21 +320,12 @@ void DistributionManager::serve_inventory(const comm::Message& request_message,
       kInventorySample);
   const std::vector<SampleId> samples =
       inventory_source_ ? inventory_source_() : std::vector<SampleId>{};
-  const ResponseHeader header{kInventorySample, 1};
-  const std::uint64_t count = samples.size();
-  const std::uint64_t checksum = inventory_checksum(samples);
-  std::vector<std::byte> response(sizeof(header) + sizeof(count) +
-                                  samples.size() * sizeof(SampleId) + sizeof(checksum));
-  std::size_t offset = 0;
-  std::memcpy(response.data(), &header, sizeof(header));
-  offset += sizeof(header);
-  std::memcpy(response.data() + offset, &count, sizeof(count));
-  offset += sizeof(count);
-  if (!samples.empty()) {
-    std::memcpy(response.data() + offset, samples.data(), samples.size() * sizeof(SampleId));
-    offset += samples.size() * sizeof(SampleId);
-  }
-  std::memcpy(response.data() + offset, &checksum, sizeof(checksum));
+  std::vector<std::byte> response;
+  wire::Writer out(response);
+  put_reply_head(out, kInventorySample, 1);
+  out.u64(samples.size());
+  for (const SampleId s : samples) out.u32(s);
+  out.u64(inventory_checksum(samples));
   ++served_;
   const Status sent = endpoint_.send(request_message.source, response_tag(request_id),
                                      std::move(response));
@@ -404,26 +411,21 @@ Result<std::vector<std::byte>> DistributionManager::fetch_once(SampleId sample,
   };
 
   const std::uint64_t request_id = next_request_id_.fetch_add(1);
-  FetchRequest request{request_id, sample};
-  std::vector<std::byte> bytes(sizeof(request));
-  std::memcpy(bytes.data(), &request, sizeof(request));
-  if (Status sent = endpoint_.send(holder, kFetchRequestTag, std::move(bytes)); !sent.ok()) {
+  if (Status sent = endpoint_.send(holder, kFetchRequestTag, request_head(request_id, sample));
+      !sent.ok()) {
     return report(sent);
   }
 
   auto response = endpoint_.recv_for(response_tag(request_id), policy_.timeout);
   if (!response.ok()) return report(response.status());
-  const auto& reply = response->bytes();
-  ResponseHeader header{};
-  std::memcpy(&header, reply.data(), std::min(sizeof(header), reply.size()));
-  if (header.found == 0) return report(Status::not_found("peer no longer holds sample"));
-  if (reply.size() < sizeof(header)) {
-    return report(Status::corrupt("reply truncated"));
-  }
+  wire::Reader in(response->bytes());
+  const ReplyHead head = read_reply_head(in);
+  if (!in.ok()) return report(Status::corrupt("reply truncated"));
+  if (head.found == 0) return report(Status::not_found("peer no longer holds sample"));
   // Copy the slice out once, then verify the copy: the buffer checked is
   // the buffer delivered, so the caller need not check it again.
-  const std::byte* body = reply.data() + sizeof(header);
-  std::vector<std::byte> payload(body, reply.data() + reply.size());
+  const auto body = in.bytes(in.remaining());
+  std::vector<std::byte> payload(body.begin(), body.end());
   if (!verify_sample_payload(sample, payload)) {
     return report(Status::corrupt("payload failed verification"));
   }
@@ -528,16 +530,14 @@ std::vector<Result<comm::PayloadPtr>> DistributionManager::fetch_remote_many(
                               samples.size());
       attempt.set_arg2(holder);
       const std::uint64_t request_id = next_request_id_.fetch_add(1);
-      const FetchRequest request{request_id, kMultiGetSample};
-      const std::uint64_t count = samples.size();
-      auto wire = PayloadArena::acquire(sizeof(request) + sizeof(count) +
-                                        samples.size() * sizeof(SampleId));
-      std::memcpy(wire->data(), &request, sizeof(request));
-      std::memcpy(wire->data() + sizeof(request), &count, sizeof(count));
-      std::memcpy(wire->data() + sizeof(request) + sizeof(count), samples.data(),
-                  samples.size() * sizeof(SampleId));
+      auto request = PayloadArena::acquire(kRequestHeadBytes + sizeof(std::uint64_t) +
+                                           samples.size() * sizeof(SampleId));
+      wire::Writer out(*request);
+      put_request_head(out, request_id, kMultiGetSample);
+      out.u64(samples.size());
+      for (const SampleId s : samples) out.u32(s);
       if (Status sent = endpoint_.send(holder, kFetchRequestTag,
-                                       comm::PayloadPtr(std::move(wire)));
+                                       comm::PayloadPtr(std::move(request)));
           !sent.ok()) {
         attempt.set_status(sent.code());
         last = sent;
@@ -555,53 +555,36 @@ std::vector<Result<comm::PayloadPtr>> DistributionManager::fetch_remote_many(
       }
 
       answered = true;
-      const auto& reply = response->bytes();
-      std::size_t off = 0;
-      ResponseHeader header{};
-      std::uint64_t reply_count = 0;
-      bool framing_ok = reply.size() >= sizeof(header) + sizeof(reply_count);
-      if (framing_ok) {
-        std::memcpy(&header, reply.data(), sizeof(header));
-        off += sizeof(header);
-        std::memcpy(&reply_count, reply.data() + off, sizeof(reply_count));
-        off += sizeof(reply_count);
-        framing_ok = header.sample == kMultiGetSample && header.found == 1 &&
-                     reply_count == samples.size();
-      }
+      wire::Reader in(response->bytes());
+      const ReplyHead head = read_reply_head(in);
+      const std::uint64_t reply_count = in.u64();
+      bool framing_ok = in.ok() && head.sample == kMultiGetSample && head.found == 1 &&
+                        reply_count == samples.size();
       bool any_corrupt = false;
-      for (std::size_t i = 0; i < samples.size(); ++i) {
-        if (framing_ok && off + sizeof(SampleId) + sizeof(std::uint64_t) <= reply.size()) {
-          SampleId id = kInvalidSample;
-          std::uint64_t found_size = 0;
-          std::memcpy(&id, reply.data() + off, sizeof(id));
-          off += sizeof(id);
-          std::memcpy(&found_size, reply.data() + off, sizeof(found_size));
-          off += sizeof(found_size);
-          if (id != samples[i] || off + found_size > reply.size()) {
-            framing_ok = false;  // framing lost; the rest is unreadable
-          } else if (found_size == 0) {
-            results.emplace_back(Status::not_found("peer no longer holds sample"));
-            continue;
-          } else {
-            // Copy first, then verify the copy: the delivered buffer is the
-            // one checked, exactly once.
-            auto buffer = PayloadArena::acquire(static_cast<std::size_t>(found_size));
-            std::memcpy(buffer->data(), reply.data() + off,
-                        static_cast<std::size_t>(found_size));
-            off += static_cast<std::size_t>(found_size);
-            if (verify_sample_payload(samples[i], *buffer)) {
-              results.emplace_back(comm::PayloadPtr(std::move(buffer)));
-            } else {
-              results.emplace_back(Status::corrupt("payload failed verification"));
-              any_corrupt = true;
-            }
-            continue;
-          }
+      for (const SampleId sample : samples) {
+        const SampleId id = in.u32();
+        const std::uint64_t found_size = in.u64();
+        const auto body = in.bytes(found_size);
+        // A short read or a foreign id loses the framing; the rest of the
+        // reply is unreadable.
+        framing_ok = framing_ok && in.ok() && id == sample;
+        if (!framing_ok) {
+          results.emplace_back(Status::corrupt("multi-get reply malformed"));
+          any_corrupt = true;
+        } else if (found_size == 0) {
+          results.emplace_back(Status::not_found("peer no longer holds sample"));
         } else {
-          framing_ok = false;
+          // Copy first, then verify the copy: the delivered buffer is the
+          // one checked, exactly once.
+          auto buffer = PayloadArena::acquire(body.size());
+          std::copy(body.begin(), body.end(), buffer->begin());
+          if (verify_sample_payload(sample, *buffer)) {
+            results.emplace_back(comm::PayloadPtr(std::move(buffer)));
+          } else {
+            results.emplace_back(Status::corrupt("payload failed verification"));
+            any_corrupt = true;
+          }
         }
-        results.emplace_back(Status::corrupt("multi-get reply malformed"));
-        any_corrupt = true;
       }
       attempt.set_status(any_corrupt ? StatusCode::kCorrupt : StatusCode::kOk);
       // Whole-reply accounting mirrors the single-fetch contract: a reply
@@ -631,10 +614,9 @@ Result<std::vector<SampleId>> DistributionManager::fetch_inventory(comm::Rank ho
     return status;
   };
   const std::uint64_t request_id = next_request_id_.fetch_add(1);
-  const FetchRequest request{request_id, kInventorySample};
-  std::vector<std::byte> bytes(sizeof(request));
-  std::memcpy(bytes.data(), &request, sizeof(request));
-  if (Status sent = endpoint_.send(holder, kFetchRequestTag, std::move(bytes)); !sent.ok()) {
+  if (Status sent =
+          endpoint_.send(holder, kFetchRequestTag, request_head(request_id, kInventorySample));
+      !sent.ok()) {
     return report(sent);
   }
 
@@ -643,30 +625,15 @@ Result<std::vector<SampleId>> DistributionManager::fetch_inventory(comm::Rank ho
     if (response.status().code() == StatusCode::kTimeout) record_timeout(holder);
     return report(response.status());
   }
-  const auto& payload = response->bytes();
-  ResponseHeader header{};
-  std::uint64_t count = 0;
-  if (payload.size() < sizeof(header) + sizeof(count) + sizeof(std::uint64_t)) {
-    record_corrupt(holder);
-    return report(Status::corrupt("inventory reply truncated"));
-  }
-  std::memcpy(&header, payload.data(), sizeof(header));
-  std::memcpy(&count, payload.data() + sizeof(header), sizeof(count));
-  const std::size_t ids_offset = sizeof(header) + sizeof(count);
-  const std::size_t expected =
-      ids_offset + count * sizeof(SampleId) + sizeof(std::uint64_t);
-  if (header.sample != kInventorySample || header.found != 1 ||
-      payload.size() != expected) {
+  wire::Reader in(response->bytes());
+  const ReplyHead head = read_reply_head(in);
+  std::vector<SampleId> samples(in.count<std::uint64_t>(sizeof(SampleId)));
+  for (SampleId& s : samples) s = in.u32();
+  const std::uint64_t checksum = in.u64();
+  if (!in.done() || head.sample != kInventorySample || head.found != 1) {
     record_corrupt(holder);
     return report(Status::corrupt("inventory reply malformed"));
   }
-  std::vector<SampleId> samples(static_cast<std::size_t>(count));
-  if (count > 0) {
-    std::memcpy(samples.data(), payload.data() + ids_offset, count * sizeof(SampleId));
-  }
-  std::uint64_t checksum = 0;
-  std::memcpy(&checksum, payload.data() + ids_offset + count * sizeof(SampleId),
-              sizeof(checksum));
   if (checksum != inventory_checksum(samples)) {
     record_corrupt(holder);
     return report(Status::corrupt("inventory checksum mismatch"));

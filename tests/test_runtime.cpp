@@ -343,7 +343,9 @@ Plan small_plan() {
 TEST(PlanIo, RoundTripsExactly) {
   const Plan original = small_plan();
   const auto bytes = serialize_plan(original);
-  const Plan loaded = deserialize_plan(bytes);
+  const auto decoded = deserialize_plan(bytes);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().to_string();
+  const Plan& loaded = *decoded;
   EXPECT_EQ(loaded.cluster_nodes, original.cluster_nodes);
   EXPECT_EQ(loaded.gpus_per_node, original.gpus_per_node);
   EXPECT_EQ(loaded.epochs, original.epochs);
@@ -369,37 +371,39 @@ TEST(PlanIo, RoundTripsExactly) {
 TEST(PlanIo, FileRoundTrip) {
   const Plan original = small_plan();
   const std::string path = ::testing::TempDir() + "/lobster_plan.bin";
-  save_plan(original, path);
-  const Plan loaded = load_plan(path);
-  EXPECT_EQ(loaded.total_prefetches(), original.total_prefetches());
+  ASSERT_TRUE(save_plan(original, path).ok());
+  const auto loaded = load_plan(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
+  EXPECT_EQ(loaded->total_prefetches(), original.total_prefetches());
 }
 
 TEST(PlanIo, RejectsBadMagicAndVersion) {
   auto bytes = serialize_plan(small_plan());
   auto corrupted = bytes;
   corrupted[0] = std::byte{0x00};
-  EXPECT_THROW(deserialize_plan(corrupted), std::runtime_error);
+  EXPECT_EQ(deserialize_plan(corrupted).status().code(), StatusCode::kCorrupt);
   corrupted = bytes;
   corrupted[4] = std::byte{0xFF};  // version
-  EXPECT_THROW(deserialize_plan(corrupted), std::runtime_error);
+  EXPECT_EQ(deserialize_plan(corrupted).status().code(), StatusCode::kCorrupt);
 }
 
 TEST(PlanIo, RejectsTruncation) {
   const auto bytes = serialize_plan(small_plan());
   for (const std::size_t keep : {std::size_t{3}, std::size_t{16}, bytes.size() - 1}) {
     std::vector<std::byte> truncated(bytes.begin(), bytes.begin() + keep);
-    EXPECT_THROW(deserialize_plan(truncated), std::runtime_error) << "keep=" << keep;
+    EXPECT_EQ(deserialize_plan(truncated).status().code(), StatusCode::kCorrupt)
+        << "keep=" << keep;
   }
 }
 
 TEST(PlanIo, RejectsTrailingGarbage) {
   auto bytes = serialize_plan(small_plan());
   bytes.push_back(std::byte{0x42});
-  EXPECT_THROW(deserialize_plan(bytes), std::runtime_error);
+  EXPECT_EQ(deserialize_plan(bytes).status().code(), StatusCode::kCorrupt);
 }
 
 TEST(PlanIo, RejectsMissingFile) {
-  EXPECT_THROW(load_plan("/nonexistent/path/plan.bin"), std::runtime_error);
+  EXPECT_EQ(load_plan("/nonexistent/path/plan.bin").status().code(), StatusCode::kNotFound);
 }
 
 TEST(PlanIo, PlannedRealPlanSurvivesRoundTripAndExecutes) {
@@ -410,8 +414,10 @@ TEST(PlanIo, PlannedRealPlanSurvivesRoundTripAndExecutes) {
   preset.batch_size = 4;
   const auto planned = core::plan_training(preset, baselines::LoaderStrategy::lobster());
   const std::string path = ::testing::TempDir() + "/real_plan.bin";
-  save_plan(planned.plan, path);
-  const Plan loaded = load_plan(path);
+  ASSERT_TRUE(save_plan(planned.plan, path).ok());
+  const auto decoded = load_plan(path);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().to_string();
+  const Plan& loaded = *decoded;
 
   const data::SampleCatalog catalog(preset.dataset, preset.seed);
   data::SamplerConfig sampler_config;
@@ -431,60 +437,13 @@ TEST(PlanIo, PlannedRealPlanSurvivesRoundTripAndExecutes) {
 }  // namespace
 }  // namespace lobster::runtime
 
-// ---- robustness fuzzing: corrupted plans and payloads must fail loudly,
-// never crash or silently succeed (appended coverage).
+// ---- robustness fuzzing: corrupted payloads must fail verification
+// (plan decoding is fuzzed by test_wire).
 
 #include "common/rng.hpp"
 
 namespace lobster::runtime {
 namespace {
-
-TEST(PlanIoFuzz, RandomByteFlipsNeverCrash) {
-  const auto clean = serialize_plan(small_plan());
-  Rng rng(31337);
-  int accepted = 0;
-  for (int trial = 0; trial < 500; ++trial) {
-    auto corrupted = clean;
-    const auto flips = 1 + rng.bounded(4);
-    for (std::uint64_t f = 0; f < flips; ++f) {
-      const auto pos = static_cast<std::size_t>(rng.bounded(corrupted.size()));
-      corrupted[pos] ^= static_cast<std::byte>(1 + rng.bounded(255));
-    }
-    try {
-      const Plan plan = deserialize_plan(corrupted);
-      // A flip in a payload field (thread count, sample id) can legitimately
-      // decode; structure must still be coherent.
-      ++accepted;
-      for (const auto& iteration : plan.iterations) {
-        ASSERT_EQ(iteration.nodes.size(), plan.cluster_nodes);
-      }
-    } catch (const std::runtime_error&) {
-      // expected for structural corruption
-    }
-  }
-  // Most random flips hit structure or lengths; a silent-accept-everything
-  // parser would make accepted == 500.
-  EXPECT_LT(accepted, 500);
-}
-
-TEST(PlanIoFuzz, RandomTruncationsNeverCrash) {
-  const auto clean = serialize_plan(small_plan());
-  Rng rng(99);
-  for (int trial = 0; trial < 200; ++trial) {
-    const auto keep = static_cast<std::size_t>(rng.bounded(clean.size()));
-    std::vector<std::byte> truncated(clean.begin(), clean.begin() + keep);
-    EXPECT_THROW(deserialize_plan(truncated), std::runtime_error) << "keep=" << keep;
-  }
-}
-
-TEST(PlanIoFuzz, RandomGarbageNeverCrash) {
-  Rng rng(7);
-  for (int trial = 0; trial < 200; ++trial) {
-    std::vector<std::byte> garbage(rng.bounded(256));
-    for (auto& b : garbage) b = static_cast<std::byte>(rng.bounded(256));
-    EXPECT_THROW(deserialize_plan(garbage), std::runtime_error);
-  }
-}
 
 TEST(PayloadFuzz, AnySingleCorruptionIsDetected) {
   const SampleId sample = 777;
